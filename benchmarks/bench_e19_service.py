@@ -25,6 +25,14 @@ cache or an accidental re-embed on the hit path).
 
 ``REPRO_BENCH_SMOKE=1`` swaps the grid:256 x64 workload for grid:64
 x16.
+
+A second gate bounds the cost of cache keying on high-diameter inputs,
+where the cache key once cost more than the embedding it saves:
+``canonical_form`` (best of 3) on path:1000 and grid:4x250 must stay
+within ``max_keying_fraction`` of one cold ``execute_job`` on the same
+graph.  The Θ(n·D) WL rehash loop the canonical form used to run
+measured about 0.87 and 0.21 of cold compute there; smaller-half
+partition refinement measures about 0.005.
 """
 
 import json
@@ -33,7 +41,7 @@ import time
 from pathlib import Path
 
 from repro.analysis import print_table, verdict
-from repro.serve import ResultCache, ServiceDriver, load_jobs
+from repro.serve import ResultCache, ServiceDriver, canonical_form, execute_job, load_jobs
 
 SMOKE = bool(os.environ.get("REPRO_BENCH_SMOKE"))
 
@@ -42,6 +50,9 @@ BUDGET_PATH = Path(__file__).resolve().parent / "throughput_budget.json"
 # (workload key, grid rows, grid cols, repeated submissions)
 WORKLOAD = ("grid:64x16", 8, 8, 16) if SMOKE else ("grid:256x64", 16, 16, 64)
 WORKERS = (1, 2, 4)
+
+#: High-diameter keying workloads: (label, demo spec).
+KEYING_WORKLOADS = (("path:1000", ["path", 1000]), ("grid:4x250", ["grid", 4, 250]))
 
 
 def _jobs():
@@ -125,4 +136,41 @@ def test_e19_service(run_once, bench_report):
     # that the multi-worker phases actually ran the full batch.
     for workers in WORKERS:
         assert results[workers]["cold"]["jobs"] == len(_jobs())
+    assert ok
+
+
+def _best_of(repeats, fn, *args):
+    best = float("inf")
+    for _ in range(repeats):
+        t0 = time.perf_counter()
+        fn(*args)
+        best = min(best, time.perf_counter() - t0)
+    return best
+
+
+def test_e19_keying_cost():
+    budget = json.loads(BUDGET_PATH.read_text())
+    limit = budget["max_keying_fraction"]
+    ok = True
+    rows = []
+    for label, spec in KEYING_WORKLOADS:
+        job = load_jobs([json.dumps({"demo": spec})])[0]
+        t0 = time.perf_counter()
+        record = execute_job(job.payload())
+        cold_s = time.perf_counter() - t0
+        assert record["outcome"] == "ok"
+        key_s = _best_of(3, canonical_form, job.graph)
+        fraction = key_s / cold_s
+        rows.append([label, round(cold_s, 4), round(key_s, 5), round(fraction, 4)])
+        ok &= verdict(
+            f"E19: keying <= {limit} of cold compute on {label}",
+            fraction <= limit,
+            f"canonical_form {key_s:.5f}s, cold execute_job {cold_s:.3f}s"
+            f" ({fraction:.4f})",
+        )
+    print_table(
+        ["workload", "cold_s", "key_s", "fraction"],
+        rows,
+        title="E19: cache keying cost on high-diameter inputs",
+    )
     assert ok

@@ -86,8 +86,9 @@ code  meaning
 0     success — embedding computed (and certified, if asked)
 1     input not planar (a Kuratowski witness is printed);
       ``trace-diff``: traces diverge
-2     usage error (bad flags, malformed job file or edge list);
-      ``trace-diff``: unreadable trace
+2     usage error (bad flags, malformed job file or edge list,
+      an empty, self-looped or disconnected network, an unknown
+      ``--demo`` family); ``trace-diff``: unreadable trace
 3     the computed output was rejected — verification or
       certification failed, or a tamper went undetected: an
       algorithm bug, never the input's fault
@@ -122,18 +123,46 @@ from .planar.kuratowski import classify_kuratowski, kuratowski_subgraph
 from .planar.verify import EmbeddingViolation
 
 
+def _input_error(message: str) -> SystemExit:
+    """A usage error (exit 2) about the network input, reported on one
+    stderr line — exit 1 is reserved for planarity verdicts."""
+    print(f"repro: error: {message}", file=sys.stderr)
+    return SystemExit(2)
+
+
 def load_edgelist(path: str) -> Graph:
+    """Read an edge list (``u v`` per line, ``#`` comments) into a graph.
+
+    The input contract, shared with service job files: at least one
+    edge, no self-loops, one connected network.  A repeated edge (in
+    either orientation) is deduplicated, not an error: the network is a
+    simple graph, and the first occurrence fixes the insertion order.
+    Violations are usage errors (exit 2).
+    """
     graph = Graph()
-    with open(path) as f:
-        for lineno, line in enumerate(f, 1):
-            body = line.split("#", 1)[0].strip()
-            if not body:
-                continue
-            parts = body.split()
-            if len(parts) != 2:
-                raise SystemExit(f"{path}:{lineno}: expected two node IDs, got {body!r}")
-            u, v = (int(p) if p.lstrip('-').isdigit() else p for p in parts)
-            graph.add_edge(u, v)
+    try:
+        with open(path) as f:
+            for lineno, line in enumerate(f, 1):
+                body = line.split("#", 1)[0].strip()
+                if not body:
+                    continue
+                parts = body.split()
+                if len(parts) != 2:
+                    raise _input_error(f"{path}:{lineno}: expected two node IDs, got {body!r}")
+                u, v = (int(p) if p.lstrip('-').isdigit() else p for p in parts)
+                if u == v:
+                    raise _input_error(f"{path}:{lineno}: self-loop at {u!r}")
+                graph.add_edge(u, v)
+    except OSError as exc:
+        raise _input_error(f"cannot read edge list {path!r}: {exc.strerror}") from exc
+    return _checked_network(graph, path)
+
+
+def _checked_network(graph: Graph, source: str) -> Graph:
+    if graph.num_nodes == 0:
+        raise _input_error(f"{source}: the network has no vertices")
+    if not graph.is_connected():
+        raise _input_error(f"{source}: the network is not connected")
     return graph
 
 
@@ -144,9 +173,10 @@ def demo_graph(args: list[str], seed: int = 0) -> Graph:
     from .planar.generators import demo_graph as build
 
     try:
-        return build(args, seed=seed)
+        graph = build(args, seed=seed)
     except ValueError as exc:
-        raise SystemExit(str(exc)) from exc
+        raise _input_error(str(exc)) from exc
+    return _checked_network(graph, "--demo " + " ".join(map(str, args)))
 
 
 def view_trace(path: str) -> int:

@@ -6,11 +6,13 @@ result for one caller.  This package serves *streams* of such jobs at
 production traffic:
 
 * :mod:`.canon`  — a label-invariant whole-graph canonical hash
-  (Weisfeiler–Leman refinement over process-stable blake2b digests),
-  lifting the E16 canonicalized-region memo to whole-job scope;
+  (1-WL colour refinement as O(m log n) smaller-half partition
+  refinement, digested with process-stable blake2b), lifting the E16
+  canonicalized-region memo to whole-job scope;
 * :mod:`.cache`  — a bounded LRU + optional persistent JSONL result
   store keyed by ``(canonical_hash, job_kind, config)``, with
-  bit-identical exact hits and verified isomorphism-remap hits;
+  bit-identical exact hits (looked up by fingerprint before any
+  canonical form is computed) and verified isomorphism-remap hits;
 * :mod:`.jobs`   — the serialized job model (JSONL in, JSONL verdicts
   out; flat picklable payloads across the process boundary);
 * :mod:`.driver` — the async batch driver: a bounded asyncio admission

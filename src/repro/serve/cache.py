@@ -4,24 +4,38 @@ Under heavy traffic the common case is the *same topology over and over*
 (the same deployment re-verified, the same mesh re-certified after a
 config push), so the service answers repeats from cache instead of
 recomputing.  Entries are keyed by ``(canonical_hash, job_kind,
-config_key)`` — the label-invariant WL hash from :mod:`.canon` plus the
-computation kind and its normalized config — with two hit tiers beneath
-one key:
+config_key)`` — the label-invariant hash from :mod:`.canon` plus the
+computation kind and its normalized config — with two hit tiers, looked
+up in this order:
 
-**exact** — the submission's insertion-order fingerprint matches a
-    stored entry.  The stored verdict is returned verbatim and is
+**exact** — an index beside the LRU maps ``(exact_fingerprint,
+    job_kind, config_key)`` straight to its entry, so an exact repeat is
+    found in O(m) (the fingerprint) without computing the canonical
+    form at all.  The stored verdict is returned verbatim and is
     **bit-identical** to what a cold run would produce (the whole
     pipeline is deterministic given the adjacency structure; the E16/E15
-    differential suites are the standing proof).
+    differential suites are the standing proof).  Equal fingerprints
+    mean identical adjacency and hence an identical canonical key, so
+    this tier answers exactly what a canonical-key lookup followed by a
+    fingerprint match would.
 
-**canonical** — no exact match, but the query's WL refinement is
-    *discrete* (all vertex colors distinct) and a stored entry kept its
-    rotation in canonical ranks.  The color-matching bijection is then a
-    genuine isomorphism, so the cached rotation is remapped onto the
-    query's vertex labels — and defensively re-verified (genus 0 on the
-    query graph) before being served; a failed check falls back to a
-    miss rather than ever serving a wrong answer.  The ledger fields of
-    a canonical hit describe the original isomorphic run.
+**canonical** — no exact match, but the query's refinement is
+    *discrete* (every vertex alone in its cell) and a stored entry under
+    the same canonical key kept its rotation in canonical ranks.  The
+    rank-matching bijection is then a genuine isomorphism, so the
+    cached rotation is remapped onto the query's vertex labels — and
+    defensively re-verified (genus 0 on the query graph) before being
+    served; a failed check falls back to a miss rather than ever serving
+    a wrong answer.  The ledger fields of a canonical hit describe the
+    original isomorphic run.
+
+The exact index holds one entry per fingerprint triple and stays
+coherent with the LRU: evicting a key, dropping the oldest entry past
+the per-key cap, and replaying a persisted store all update it.
+Records stored under ``wl-graph-v1`` hashes (before the canonical form
+moved to partition refinement) still load: their exact tier keeps
+answering, while their canonical keys can never equal a ``wl-graph-v2``
+hash, so they never serve canonical hits.
 
 Only deterministic, complete outcomes (``ok``, ``non-planar``) are
 cached; degraded and errored outcomes always recompute.
@@ -72,6 +86,7 @@ CACHE_SCHEMA_VERSION = 2
 _MAX_ENTRIES_PER_KEY = 8
 
 CacheKey = tuple[str, str, str]  # (canonical_hash, job_kind, config_key)
+ExactKey = tuple[str, str, str]  # (exact_fingerprint, job_kind, config_key)
 
 
 @dataclass
@@ -140,6 +155,7 @@ class ResultCache:
         if self.capacity < 1:
             raise ValueError("cache capacity must be >= 1")
         self._store: OrderedDict[CacheKey, list[CacheEntry]] = OrderedDict()
+        self._exact: dict[ExactKey, tuple[CacheKey, CacheEntry]] = {}
         if self.path is not None:
             self._replay(self.path)
 
@@ -149,22 +165,31 @@ class ResultCache:
     # -- lookup ----------------------------------------------------------
 
     def lookup(
-        self, key: CacheKey, exact: str, form: CanonicalForm, graph: Graph
+        self, key: CacheKey, exact: str, form: CanonicalForm | None, graph: Graph
     ) -> CacheHit | None:
         """Return a hit for ``graph`` under ``key``, or ``None``.
+
+        The exact tier is consulted first and reads only ``key[1:]``
+        (kind and config).  With ``form=None`` the lookup stops there, so
+        ``key[0]`` may be ``None``: the driver calls it that way before it
+        pays for the canonical form, and again with the form (and the
+        full canonical key) only on an exact miss.
 
         Misses are *not* counted here: the driver increments
         ``stats.misses`` only when it actually dispatches a computation,
         so ``misses`` stays equal to the number of cold runs even when
         duplicate in-flight jobs are coalesced.
         """
+        found = self._exact.get((exact, key[1], key[2]))
+        if found is not None:
+            self._store.move_to_end(found[0])
+            self.stats.hits_exact += 1
+            return CacheHit(verdict=found[1].verdict, tier="exact")
+        if form is None:
+            return None
         entries = self._store.get(key)
         if entries is not None:
             self._store.move_to_end(key)
-            for entry in entries:
-                if entry.exact == exact:
-                    self.stats.hits_exact += 1
-                    return CacheHit(verdict=entry.verdict, tier="exact")
             if form.discrete:
                 for entry in entries:
                     if entry.canonical_rotation is None:
@@ -218,24 +243,42 @@ class ResultCache:
         canonical_rotation: dict[int, list[int]] | None = None,
         _persist: bool = True,
     ) -> None:
+        exact_key = (exact, key[1], key[2])
+        found = self._exact.get(exact_key)
+        if found is not None:
+            if found[0] == key:
+                self._store.move_to_end(key)
+                return  # already present (e.g. two racing cold runs)
+            # The same submission under an older canonical key (a
+            # replayed wl-graph-v1 record): the newer record wins.
+            self._drop(*found)
         entries = self._store.get(key)
         if entries is None:
             entries = self._store[key] = []
         else:
             self._store.move_to_end(key)
-            if any(e.exact == exact for e in entries):
-                return  # already present (e.g. two racing cold runs)
-        entries.append(
-            CacheEntry(exact=exact, verdict=verdict, canonical_rotation=canonical_rotation)
-        )
+        entry = CacheEntry(exact=exact, verdict=verdict, canonical_rotation=canonical_rotation)
+        entries.append(entry)
+        self._exact[exact_key] = (key, entry)
         if len(entries) > _MAX_ENTRIES_PER_KEY:
-            entries.pop(0)
+            oldest = entries.pop(0)
+            del self._exact[(oldest.exact, key[1], key[2])]
         self.stats.stores += 1
         while len(self._store) > self.capacity:
-            self._store.popitem(last=False)
+            evicted, bucket = self._store.popitem(last=False)
+            for old in bucket:
+                del self._exact[(old.exact, evicted[1], evicted[2])]
             self.stats.evictions += 1
         if _persist and self.path is not None:
-            self._append(key, entries[-1])
+            self._append(key, entry)
+
+    def _drop(self, key: CacheKey, entry: CacheEntry) -> None:
+        """Remove one entry (and its exact-index slot) from the LRU."""
+        entries = self._store[key]
+        entries.remove(entry)
+        if not entries:
+            del self._store[key]
+        del self._exact[(entry.exact, key[1], key[2])]
 
     # -- persistence -----------------------------------------------------
 
@@ -272,18 +315,28 @@ class ResultCache:
         self.stats.stores -= self.stats.persisted_loads
 
 
+def _crc(body: dict) -> int:
+    return zlib.crc32(json.dumps(body, sort_keys=True).encode("utf-8"))
+
+
 def _record_line(key: CacheKey, entry: CacheEntry) -> str:
     """One durable v2 record: the canonical body JSON plus a CRC-32 of
-    that exact serialization, newline-terminated."""
+    that exact serialization, newline-terminated.
+
+    Canonical ranks are written as string keys, as JSON reads them back:
+    integer keys sort numerically (2 before 10) when written but as
+    strings ("10" before "2") when re-serialized on replay, so a CRC
+    over integer keys would not survive its own round trip.
+    """
+    rotation = entry.canonical_rotation
     body = {
         "v": CACHE_SCHEMA_VERSION,
         "key": list(key),
         "exact": entry.exact,
         "verdict": entry.verdict,
-        "canon_rot": entry.canonical_rotation,
+        "canon_rot": None if rotation is None else {str(r): o for r, o in rotation.items()},
     }
-    crc = zlib.crc32(json.dumps(body, sort_keys=True).encode("utf-8"))
-    body["crc"] = crc
+    body["crc"] = _crc(body)
     return json.dumps(body, sort_keys=True) + "\n"
 
 
@@ -302,7 +355,12 @@ def _parse_record(line: str) -> tuple:
     version = obj.get("v")
     if version == 2:
         crc = obj.pop("crc", None)
-        if crc != zlib.crc32(json.dumps(obj, sort_keys=True).encode("utf-8")):
+        if crc != _crc(obj) and not (
+            # Stores written before ranks were string keys: their CRC
+            # covers the integer-keyed (numerically sorted) rotation.
+            isinstance(obj.get("canon_rot"), dict)
+            and crc == _crc({**obj, "canon_rot": {int(r): o for r, o in obj["canon_rot"].items()}})
+        ):
             raise ValueError("CRC mismatch")
     elif version != 1:
         raise ValueError("schema version mismatch")

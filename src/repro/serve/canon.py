@@ -6,15 +6,39 @@ fixed token — turns isomorphic subproblems into cache hits.  The service
 layer needs the same trick at whole-job scope: two submissions of the
 same topology under different vertex labels should land on the same
 cache line.  This module computes a **label-invariant canonical hash**
-of a graph via Weisfeiler–Leman (1-WL) color refinement:
+of a graph by colour refinement (1-WL), implemented as smaller-half
+partition refinement (Hopcroft; Paige–Tarjan):
 
-* every vertex starts with a color derived from its degree;
-* each round rehashes a vertex's color together with the sorted multiset
-  of its neighbors' colors;
-* refinement stops when the number of color classes stabilizes (at most
-  ``n`` rounds);
-* the graph hash digests ``(n, m)``, the sorted multiset of final vertex
-  colors, and the sorted multiset of per-edge color pairs.
+* the vertices sit in one permutation array, and every cell of the
+  ordered partition is a contiguous range of it, named by its start
+  position;
+* the first partition groups vertices by degree, in ascending degree
+  order;
+* each round counts, for every vertex, its neighbours in each
+  *splitter* cell, and splits every cell by those counts: vertices with
+  no neighbour in a splitter keep the cell's start, the others follow in
+  ascending order of their count signature;
+* a round's splitters are the pieces the previous round cut, except the
+  largest piece of each cut (the first round: every degree cell except
+  the largest).  Counts into the left-out piece follow from counts into
+  its parent and its siblings, so each round ends on the same partition
+  as a full 1-WL round — and each vertex is a splitter member at most
+  O(log n) times, so refinement costs O(m log n) overall;
+* refinement stops when a round cuts nothing (the partition is the
+  coarsest equitable one, 1-WL's stable colouring) or every cell is a
+  single vertex.
+
+Cell positions and count signatures never depend on vertex names, so
+the ordered partition is canonical.  The graph hash (tag
+``wl-graph-v2``) digests ``(n, m)``, the degree cells, the split trace
+(every cut cell, its pieces and their signatures, round by round) and
+the sorted multiset of edges under cell ranks.  ``CanonicalForm
+.iterations`` counts refinement rounds.  Round r leaves the partition of
+1-WL round r, so this equals the WL round count of the earlier
+``wl-graph-v1`` hash, except on regular graphs: their degree partition
+is already stable, which takes 0 rounds here and took one confirming
+WL round there.  The new tag makes records keyed by v1 hashes miss the
+canonical tier cleanly instead of aliasing.
 
 All hashing uses ``blake2b`` over deterministic byte strings — never
 Python's randomized ``hash()`` — so the digest is **stable across
@@ -22,34 +46,44 @@ processes and machines**, which the persistent JSONL cache relies on.
 
 1-WL cannot distinguish *every* non-isomorphic pair (co-spectral regular
 graphs collide), so the cache layered on top never trusts the hash
-alone: exact hits additionally match a submission-order fingerprint, and
-isomorphic "remap" hits are only served when refinement is **discrete**
-(every vertex got a unique color).  In that case the color order is a
-genuine canonical labeling: matching colors between two discretely
-refined graphs with equal hashes *is* an isomorphism, because at the
-fixpoint equal colors imply equal neighbor-color multisets, so the
-color-matching bijection preserves adjacency.  Symmetric families (the
-grid's mirror images, cycles) never refine to discrete colors and are
-simply served by exact fingerprint instead — correctness never leans on
-a heuristic.
+alone: exact hits match a submission-order fingerprint, and isomorphic
+"remap" hits are only served when refinement is **discrete** (every
+vertex alone in its cell).  In that case cell order is a genuine
+canonical labeling: matching cells between two discretely refined graphs
+with equal hashes *is* an isomorphism, because the edge multiset under
+cell ranks is part of the hash.  Symmetric families (the grid's mirror
+images, cycles) never refine to discrete cells and are simply served by
+exact fingerprint instead — correctness never leans on a heuristic.
 """
 
 from __future__ import annotations
 
 import hashlib
+import struct
 from dataclasses import dataclass, field
 
 from ..planar.graph import Graph, NodeId, sort_key
 
-__all__ = ["CanonicalForm", "canonical_form", "canonical_hash", "exact_fingerprint"]
+__all__ = [
+    "CanonicalForm",
+    "canonical_form",
+    "canonical_hash",
+    "equitable_partition",
+    "exact_fingerprint",
+]
 
-#: Digest width for vertex colors and graph hashes (128 bits: birthday
-#: collisions are negligible at any realistic cache population).
+#: Digest width for graph hashes (128 bits: birthday collisions are
+#: negligible at any realistic cache population).
 _DIGEST_SIZE = 16
 
 
 def _h(data: bytes) -> bytes:
     return hashlib.blake2b(data, digest_size=_DIGEST_SIZE).digest()
+
+
+def _pack(ints: list[int]) -> bytes:
+    """Length-prefixed big-endian int64s: the same bytes on every host."""
+    return struct.pack(f">q{len(ints)}q", len(ints), *ints)
 
 
 @dataclass(frozen=True)
@@ -58,9 +92,9 @@ class CanonicalForm:
 
     ``hash`` is the label-invariant hex digest.  ``labels`` maps every
     vertex to its canonical rank — present **only** when refinement was
-    discrete (all colors distinct), i.e. when the ranks constitute a
-    canonical labeling usable for isomorphism remapping; ``None``
-    otherwise.
+    discrete (every cell a single vertex), i.e. when the ranks constitute
+    a canonical labeling usable for isomorphism remapping; ``None``
+    otherwise.  ``iterations`` is the number of refinement rounds.
     """
 
     hash: str
@@ -74,55 +108,146 @@ class CanonicalForm:
         return self.labels is not None
 
 
-def canonical_form(graph: Graph) -> CanonicalForm:
-    """Run WL refinement on ``graph`` and return its canonical form."""
+def _refine(nbrs: list[list[int]]) -> tuple[list[int], list[int], list[int], int]:
+    """Smaller-half refinement of vertices ``0..n-1`` with adjacency
+    ``nbrs`` from the degree partition to the coarsest equitable one.
+
+    Returns ``(order, cell, trace, rounds)``: the permutation array, each
+    vertex's cell start in it, the split trace and the round count.
+    """
+    n = len(nbrs)
+    order = sorted(range(n), key=lambda v: len(nbrs[v]))
+    pos = [0] * n
+    cell = [0] * n
+    end = [0] * n  # end[start] = one past the last position of that cell
+    trace: list[int] = []
+    queue: list[int] = []
+    i = 0
+    while i < n:
+        degree = len(nbrs[order[i]])
+        j = i
+        while j < n and len(nbrs[order[j]]) == degree:
+            pos[order[j]] = j
+            cell[order[j]] = i
+            j += 1
+        end[i] = j
+        trace += (i, degree)
+        queue.append(i)
+        i = j
+    cells = len(queue)
+    # The degree partition is stable with respect to the whole vertex
+    # set, so the largest degree cell need not split anything.
+    queue.remove(max(queue, key=lambda s: end[s] - s))
+    rounds = 0
+    while queue and cells < n:
+        rounds += 1
+        trace.append(-2)
+        # Each vertex's signature lists the splitters it has neighbours
+        # in, once per neighbour, in ascending splitter order.
+        sig: dict[int, list[int]] = {}
+        for s in queue:
+            for u in order[s:end[s]]:
+                for w in nbrs[u]:
+                    found = sig.get(w)
+                    if found is None:
+                        sig[w] = [s]
+                    else:
+                        found.append(s)
+        touched: dict[int, list[int]] = {}
+        for w in sig:
+            found = touched.get(cell[w])
+            if found is None:
+                touched[cell[w]] = [w]
+            else:
+                found.append(w)
+        queue = []
+        for c in sorted(touched):
+            members = touched[c]
+            members.sort(key=sig.__getitem__)
+            e = end[c]
+            t = e - len(members)
+            if t == c and sig[members[0]] == sig[members[-1]]:
+                continue  # every vertex of the cell has the same counts
+            if t > c:
+                # Swap the untouched vertices out of [t, e), into the
+                # holes the touched ones leave below t.
+                j = t
+                for w in members:
+                    p = pos[w]
+                    if p < t:
+                        while order[j] in sig:
+                            j += 1
+                        order[p] = order[j]
+                        pos[order[j]] = p
+                        j += 1
+            order[t:e] = members
+            starts = [c] if t > c else []
+            trace += (c, t)
+            previous = None
+            for p, w in enumerate(members, t):
+                pos[w] = p
+                signature = sig[w]
+                if signature != previous:
+                    previous = signature
+                    starts.append(p)
+                    trace += (p, len(signature))
+                    trace += signature
+                cell[w] = starts[-1]
+            trace.append(-1)
+            for a, b in zip(starts, starts[1:]):
+                end[a] = b
+            end[starts[-1]] = e
+            cells += len(starts) - 1
+            largest = max(starts, key=lambda s: end[s] - s)
+            queue += (s for s in starts if s != largest)
+    return order, cell, trace, rounds
+
+
+def _indexed(graph: Graph) -> tuple[list[NodeId], list[list[int]]]:
     nodes = graph.nodes()
+    index = {v: i for i, v in enumerate(nodes)}
+    adj = graph._adj
+    return nodes, [[index[u] for u in adj[v]] for v in nodes]
+
+
+def equitable_partition(graph: Graph) -> list[list[NodeId]]:
+    """The coarsest equitable partition refining the degree partition
+    (1-WL's stable colour classes), cells in canonical order."""
+    nodes, nbrs = _indexed(graph)
+    order, cell, _trace, _rounds = _refine(nbrs)
+    cells: list[list[NodeId]] = []
+    for p, v in enumerate(order):
+        if cell[v] == p:
+            cells.append([])
+        cells[-1].append(nodes[v])
+    return cells
+
+
+def canonical_form(graph: Graph) -> CanonicalForm:
+    """Refine ``graph``'s partition and return its canonical form."""
+    nodes, nbrs = _indexed(graph)
     n = len(nodes)
-    m = graph.num_edges
     if n == 0:
         return CanonicalForm(hash=_h(b"empty-graph").hex(), n=0, m=0, iterations=0, labels={})
-
-    adj = graph._adj
-    color: dict[NodeId, bytes] = {
-        v: _h(b"deg:" + len(adj[v]).to_bytes(8, "big")) for v in nodes
-    }
-    classes = len(set(color.values()))
-    iterations = 0
-    # Refine until the partition stops splitting.  Colors only ever
-    # refine (each new color embeds the old one), so the class count is
-    # non-decreasing and the loop runs at most n rounds.
-    while classes < n:
-        new: dict[NodeId, bytes] = {}
-        for v in nodes:
-            neighbor_colors = sorted(color[u] for u in adj[v])
-            new[v] = _h(color[v] + b"".join(neighbor_colors))
-        iterations += 1
-        new_classes = len(set(new.values()))
-        color = new
-        if new_classes == classes:
-            break
-        classes = new_classes
-
+    order, cell, trace, rounds = _refine(nbrs)
+    edges = sorted(
+        min(cell[a], cell[b]) * n + max(cell[a], cell[b])
+        for a in range(n)
+        for b in nbrs[a]
+        if a < b
+    )
     hasher = hashlib.blake2b(digest_size=_DIGEST_SIZE)
-    hasher.update(b"wl-graph-v1")
-    hasher.update(n.to_bytes(8, "big"))
-    hasher.update(m.to_bytes(8, "big"))
-    for c in sorted(color[v] for v in nodes):
-        hasher.update(c)
-    for pair in sorted(
-        min(color[a], color[b]) + max(color[a], color[b]) for a, b in graph.edges()
-    ):
-        hasher.update(pair)
+    hasher.update(b"wl-graph-v2")
+    hasher.update(_pack([n, len(edges)]))
+    hasher.update(_pack(trace))
+    hasher.update(_pack(edges))
 
     labels: dict[NodeId, int] | None = None
-    if classes == n:
-        # Discrete refinement: color order is a canonical labeling.
-        # Ties are impossible (all colors distinct), so the rank is
-        # label-independent.
-        ranked = sorted(nodes, key=lambda v: color[v])
-        labels = {v: i for i, v in enumerate(ranked)}
+    if all(cell[v] == p for p, v in enumerate(order)):
+        # Discrete refinement: cell order is a canonical labeling.
+        labels = {nodes[v]: p for p, v in enumerate(order)}
     return CanonicalForm(
-        hash=hasher.hexdigest(), n=n, m=m, iterations=iterations, labels=labels
+        hash=hasher.hexdigest(), n=n, m=len(edges), iterations=rounds, labels=labels
     )
 
 
@@ -139,11 +264,13 @@ def exact_fingerprint(graph: Graph) -> str:
     adjacency structures, and every algorithm in this library is
     deterministic given that structure — so an exact-fingerprint cache
     hit may legally return the stored report verbatim as "bit-identical
-    to a cold run".  Submissions of the same edge set in a *different
-    order* get different fingerprints on purpose: insertion order is
-    observable in the output rotation, so order-insensitive matching
-    would break the bit-identical contract (they still share a canonical
-    hash and dedupe at that level).
+    to a cold run".  Equal fingerprints also imply equal canonical
+    forms, which is why the cache can consult its exact tier before the
+    canonical form is computed at all.  Submissions of the same edge set
+    in a *different order* get different fingerprints on purpose:
+    insertion order is observable in the output rotation, so
+    order-insensitive matching would break the bit-identical contract
+    (they still share a canonical hash and dedupe at that level).
     """
     hasher = hashlib.blake2b(digest_size=_DIGEST_SIZE)
     hasher.update(b"exact-v1")

@@ -252,6 +252,7 @@ def batch_cli(argv: list[str]) -> int:
         f" {counts['shed']} shed")
     say(f"latency: p50 {report['latency_s']['p50']}s"
         f" p99 {report['latency_s']['p99']}s max {report['latency_s']['max']}s")
+    say(f"keying: p50 {report['key_s']['p50']}s p99 {report['key_s']['p99']}s")
     say(_cache_summary(driver))
     say(f"computations: {report['computed']} of {report['jobs']} jobs")
     if driver.rstats.any:

@@ -18,11 +18,17 @@ killing workers is quarantined instead of poisoning the batch —
 every other job still gets its deterministic submission-order verdict.
 
 With a :class:`~repro.serve.cache.ResultCache` attached, each job is
-canonically hashed before dispatch; exact and canonical hits skip the
-pool entirely, and concurrent duplicates of one in-flight computation
-are **coalesced** (single-flight): the first occurrence computes, the
-rest await its result, so a batch of R identical topologies performs
-exactly one embedding computation at any worker count.  Cache counters
+keyed before dispatch, cheapest tier first: its O(m) exact fingerprint
+is looked up, then matched against in-flight computations, and only
+when both miss is the canonical form computed for the canonical tier
+(and as the key the verdict is stored under).  Hits skip the pool
+entirely, and concurrent duplicates of one in-flight computation are
+**coalesced** (single-flight, keyed on the exact fingerprint, kind and
+config): the first occurrence computes, the rest await its result, so a
+batch of R identical topologies performs exactly one embedding
+computation — and one canonical form — at any worker count.  The
+seconds spent keying a job (fingerprint, canonical form, lookups) are
+its ``key_s``.  Cache counters
 (`hits_exact` / `hits_canonical` / `hits_coalesced` / `misses`) surface
 in the aggregate batch report; ``misses`` equals the number of actual
 computations.
@@ -223,6 +229,7 @@ class JobOutcome:
     cache: str  # "miss" | "exact" | "canonical" | "coalesced" | "off" | "shed"
     wall_s: float  # submission-to-resolution latency (includes queue wait)
     record: dict
+    key_s: float = 0.0  # cache keying: fingerprint, canonical form, lookups
 
     @property
     def outcome(self) -> str:
@@ -242,6 +249,7 @@ class JobOutcome:
             "outcome": self.outcome,
             "cache": self.cache,
             "wall_s": round(self.wall_s, 6),
+            "key_s": round(self.key_s, 6),
             "verdict": {k: v for k, v in self.record.items() if k != "outcome"},
         }
 
@@ -443,21 +451,31 @@ class ServiceDriver:
             record = await self._execute(job, supervisor, loop)
             return self._outcome(job, "off", submitted, record)
 
-        form = canonical_form(job.graph)
+        start = time.perf_counter()
         exact = exact_fingerprint(job.graph)
-        key = (form.hash, job.kind, config_key(job.config))
-        hit = cache.lookup(key, exact, form, job.graph)
+        scope = (job.kind, config_key(job.config))
+        hit = cache.lookup((None, *scope), exact, None, job.graph)
         if hit is not None:
-            return self._outcome(job, hit.tier, submitted, hit.verdict)
+            return self._outcome(
+                job, hit.tier, submitted, hit.verdict, time.perf_counter() - start
+            )
 
-        flight_key = (key, exact)
+        flight_key = (exact, *scope)
         waiter = inflight.get(flight_key)
         if waiter is not None:
             # Single-flight: an identical job is already computing;
             # share its verdict instead of burning a worker on it.
+            key_s = time.perf_counter() - start
             record = await asyncio.shield(waiter)
             cache.stats.hits_coalesced += 1
-            return self._outcome(job, "coalesced", submitted, record)
+            return self._outcome(job, "coalesced", submitted, record, key_s)
+
+        form = canonical_form(job.graph)
+        key = (form.hash, *scope)
+        hit = cache.lookup(key, exact, form, job.graph)
+        key_s = time.perf_counter() - start
+        if hit is not None:
+            return self._outcome(job, hit.tier, submitted, hit.verdict, key_s)
 
         waiter = loop.create_future()
         inflight[flight_key] = waiter
@@ -483,7 +501,7 @@ class ServiceDriver:
                 else self._canonical_rotation(job.graph, form, record)
             )
             cache.store(key, exact, record, canonical_rotation)
-        return self._outcome(job, "miss", submitted, record)
+        return self._outcome(job, "miss", submitted, record, key_s)
 
     async def _execute(self, job: Job, supervisor, loop) -> dict:
         """Run one job to a verdict record under the resilience policy:
@@ -613,7 +631,9 @@ class ServiceDriver:
         })
 
     @staticmethod
-    def _outcome(job: Job, tier: str, submitted: float, record: dict) -> JobOutcome:
+    def _outcome(
+        job: Job, tier: str, submitted: float, record: dict, key_s: float = 0.0
+    ) -> JobOutcome:
         return JobOutcome(
             index=job.index,
             id=job.id,
@@ -621,6 +641,7 @@ class ServiceDriver:
             cache=tier,
             wall_s=time.perf_counter() - submitted,
             record=record,
+            key_s=key_s,
         )
 
     @staticmethod
@@ -657,6 +678,7 @@ class ServiceDriver:
                     if isinstance(value, int) and not isinstance(value, bool):
                         fault_stats[key] = fault_stats.get(key, 0) + value
         latencies = sorted(outcome.wall_s for outcome in outcomes)
+        keying = sorted(outcome.key_s for outcome in outcomes)
         stats = self.cache.stats if self.cache is not None else None
         return {
             "type": "batch-report",
@@ -674,6 +696,10 @@ class ServiceDriver:
                 "p50": round(_percentile(latencies, 0.50), 6),
                 "p99": round(_percentile(latencies, 0.99), 6),
                 "max": round(latencies[-1], 6) if latencies else 0.0,
+            },
+            "key_s": {
+                "p50": round(_percentile(keying, 0.50), 6),
+                "p99": round(_percentile(keying, 0.99), 6),
             },
             "exit_code": self.exit_code(outcomes),
         }

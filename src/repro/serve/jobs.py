@@ -115,7 +115,13 @@ def _check_node(value) -> NodeId:
 
 
 def parse_job(obj: dict, index: int = 0) -> Job:
-    """Validate one decoded job object into a :class:`Job`."""
+    """Validate one decoded job object into a :class:`Job`.
+
+    The network contract matches the CLI's edge lists: at least one
+    vertex, no self-loops, connected.  A repeated edge (in either
+    orientation) is deduplicated, not rejected — the network is a simple
+    graph, and the first occurrence fixes the insertion order.
+    """
     if not isinstance(obj, dict):
         raise JobSpecError(f"job {index}: expected a JSON object, got {type(obj).__name__}")
     unknown = set(obj) - {"kind", "edges", "demo", "id", "seed", "config"}

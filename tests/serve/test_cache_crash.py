@@ -3,6 +3,7 @@ CRC-32 detection, torn-tail truncation and in-place repair, concurrent
 appenders, and ``repro cache-compact``."""
 
 import json
+import zlib
 from concurrent.futures import ProcessPoolExecutor
 
 import pytest
@@ -117,6 +118,35 @@ class TestCrc:
         warm = ResultCache(path=str(path))
         assert warm.stats.persisted_loads == 1
         assert warm.stats.persisted_skipped == 0
+
+
+    def test_canonical_rotation_survives_replay(self, tmp_path):
+        """Ranks 0..11 sort differently as integers and as strings; the
+        record's CRC must still match after a JSON round trip (it did
+        not, and the warm start truncated the record as a torn tail)."""
+        path = tmp_path / "cache.jsonl"
+        rotation = {rank: [(rank + 1) % 12, (rank + 11) % 12] for rank in range(12)}
+        ResultCache(path=str(path)).store(("h", "embed", "{}"), "fp", {"outcome": "ok"}, rotation)
+        size = path.stat().st_size
+        warm = ResultCache(path=str(path))
+        assert warm.stats.persisted_loads == 1
+        assert warm.stats.torn_truncated == 0
+        assert path.stat().st_size == size
+        assert warm._store[("h", "embed", "{}")][0].canonical_rotation == rotation
+
+    def test_integer_rank_crc_records_still_load(self, tmp_path):
+        """Records written with the CRC over integer rank keys load."""
+        path = tmp_path / "cache.jsonl"
+        body = {
+            "v": 2, "key": ["h", "embed", "{}"], "exact": "fp",
+            "verdict": {"outcome": "ok"},
+            "canon_rot": {rank: [(rank + 1) % 12] for rank in range(12)},
+        }
+        body["crc"] = zlib.crc32(json.dumps(body, sort_keys=True).encode("utf-8"))
+        path.write_text(json.dumps(body, sort_keys=True) + "\n")
+        warm = ResultCache(path=str(path))
+        assert warm.stats.persisted_loads == 1
+        assert warm.stats.persisted_skipped + warm.stats.torn_truncated == 0
 
 
 class TestConcurrentAppenders:

@@ -7,6 +7,9 @@ across the seeded demo families at equal vertex counts), and
 **process stability** (the digest never touches Python's randomized
 ``hash()``, so it is byte-equal across interpreters with different
 ``PYTHONHASHSEED`` — what persistent JSONL cache stores rely on).
+The partition refinement behind the hash is also held to the
+``wl-graph-v1`` WL loop it replaced (``tests/serve/wl_v1.py``): same
+stable partition, discreteness and round count.
 """
 
 import random
@@ -18,7 +21,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.planar.generators import (
+    caterpillar,
+    cycle_graph,
     grid_graph,
+    k4_subdivision,
+    path_graph,
     random_maximal_planar,
     random_outerplanar,
     random_tree,
@@ -26,6 +33,8 @@ from repro.planar.generators import (
 )
 from repro.planar.graph import Graph
 from repro.serve import canonical_form, canonical_hash, exact_fingerprint
+from repro.serve.canon import equitable_partition
+from tests.serve.wl_v1 import color_classes, wl_v1
 
 FAMILIES = {
     "grid": lambda n, seed: grid_graph(max(2, round(n ** 0.5)), max(2, round(n ** 0.5))),
@@ -163,3 +172,94 @@ def test_single_vertex_and_small_graphs():
     assert canonical_form(g1).labels == {7: 0}
     edge = Graph(edges=[(0, 1)])
     assert canonical_hash(edge) != canonical_hash(g1)
+
+
+# -- differential against the wl-graph-v1 oracle -----------------------
+
+#: The six demo families plus paths, cycles, caterpillars and long 4 x k
+#: grids (high diameter: where v1's per-round rehash was quadratic).
+ORACLE_FAMILIES = {
+    **FAMILIES,
+    "k4sub": lambda n, seed: k4_subdivision(max(1, n // 6)),
+    "path": lambda n, seed: path_graph(max(2, n)),
+    "cycle": lambda n, seed: cycle_graph(max(3, n)),
+    "caterpillar": lambda n, seed: caterpillar(max(2, n // 3), 1 + seed % 3),
+    "grid4xk": lambda n, seed: grid_graph(4, max(2, n // 4)),
+}
+
+
+def _is_regular(graph: Graph) -> bool:
+    return len({graph.degree(v) for v in graph.nodes()}) == 1
+
+
+@given(
+    family=st.sampled_from(sorted(ORACLE_FAMILIES)),
+    n=st.integers(min_value=5, max_value=60),
+    seed=st.integers(min_value=0, max_value=10**6),
+    perm_seed=st.integers(min_value=0, max_value=10**6),
+)
+@settings(max_examples=120, deadline=None)
+def test_partition_refinement_matches_wl_v1(family, n, seed, perm_seed):
+    """Smaller-half refinement ends on 1-WL's stable colour classes,
+    with the same discreteness and (off regular graphs) the same round
+    count, on every relabeling."""
+    graph = relabel(ORACLE_FAMILIES[family](n, seed), perm_seed)
+    v1_form, colors = wl_v1(graph)
+    form = canonical_form(graph)
+    cells = equitable_partition(graph)
+    assert {frozenset(cell) for cell in cells} == color_classes(colors)
+    assert sorted(v for cell in cells for v in cell) == sorted(graph.nodes())
+    assert form.discrete == v1_form.discrete
+    assert (form.labels is None) == (len(cells) < graph.num_nodes)
+    if _is_regular(graph):
+        assert form.iterations == 0 and v1_form.iterations <= 1
+    else:
+        assert form.iterations == v1_form.iterations
+
+
+@given(
+    family=st.sampled_from(sorted(ORACLE_FAMILIES)),
+    n=st.integers(min_value=5, max_value=60),
+    seed=st.integers(min_value=0, max_value=10**6),
+    perm_seed=st.integers(min_value=1, max_value=10**6),
+)
+@settings(max_examples=120, deadline=None)
+def test_labels_and_cells_agree_across_relabelings(family, n, seed, perm_seed):
+    """Cell order is canonical: a relabeled copy gets the same hash, the
+    same cells in the same order under the renaming, and — when
+    discrete — the same rank for every renamed vertex."""
+    graph = ORACLE_FAMILIES[family](n, seed)
+    nodes = graph.nodes()
+    shuffled = list(nodes)
+    random.Random(perm_seed).shuffle(shuffled)
+    mapping = dict(zip(nodes, shuffled))
+    other = Graph(edges=[(mapping[u], mapping[v]) for u, v in graph.edges()])
+    form, other_form = canonical_form(graph), canonical_form(other)
+    assert other_form.hash == form.hash
+    assert [len(c) for c in equitable_partition(other)] == [
+        len(c) for c in equitable_partition(graph)
+    ]
+    assert [{mapping[v] for v in c} for c in equitable_partition(graph)] == [
+        set(c) for c in equitable_partition(other)
+    ]
+    if form.labels is not None:
+        assert other_form.labels == {mapping[v]: rank for v, rank in form.labels.items()}
+
+
+def test_v2_hash_never_equals_v1():
+    """The tag change makes every v1-keyed store record miss the
+    canonical tier."""
+    for graph in (grid_graph(4, 4), path_graph(9), random_maximal_planar(20, seed=1)):
+        assert canonical_hash(graph) != wl_v1(graph)[0].hash
+
+
+def test_keying_is_near_linear_on_long_paths():
+    """v1 needed ~n/2 full rehash rounds on a path (seconds at n=2000);
+    refinement touches O(1) vertices per round."""
+    import time
+
+    graph = path_graph(2000)
+    start = time.perf_counter()
+    form = canonical_form(graph)
+    assert time.perf_counter() - start < 1.0
+    assert form.iterations == 999  # the WL round count, unchanged

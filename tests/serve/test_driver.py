@@ -166,6 +166,64 @@ class TestServiceDriver:
         json.dumps(obj)  # wire-ready
 
 
+class TestKeying:
+    """Cache keying order: exact fingerprint, then in-flight, then the
+    canonical form — only when both miss."""
+
+    @staticmethod
+    def _count_canonical_forms(monkeypatch):
+        import repro.serve.driver as driver_mod
+
+        calls = []
+        real = driver_mod.canonical_form
+
+        def counting(graph):
+            calls.append(graph.num_nodes)
+            return real(graph)
+
+        monkeypatch.setattr(driver_mod, "canonical_form", counting)
+        return calls
+
+    def test_exact_repeat_skips_canonical_form(self, monkeypatch):
+        calls = self._count_canonical_forms(monkeypatch)
+        base = {"demo": ["maximal", 14], "seed": 2}
+        edges = parse_job(base).graph.edges()
+        isomorph = {"edges": [[f"y{u}", f"y{v}"] for u, v in edges]}
+        cache = ResultCache()
+        outcomes = ServiceDriver(workers=0, cache=cache).run(
+            _jobs([base, base, isomorph, base, isomorph])
+        )
+        # A canonical hit is remapped, not stored: a repeated isomorph
+        # pays for the canonical form again; an exact repeat never does.
+        assert [o.cache for o in outcomes] == [
+            "miss", "exact", "canonical", "exact", "canonical",
+        ]
+        assert len(calls) == 3
+        assert len(calls) == cache.stats.misses + cache.stats.hits_canonical
+
+    def test_inflight_duplicates_coalesce_at_two_workers(self, monkeypatch):
+        calls = self._count_canonical_forms(monkeypatch)
+        jobs = _jobs([{"demo": ["grid", 4, 4]} for _ in range(6)])
+        cache = ResultCache()
+        outcomes = ServiceDriver(workers=2, cache=cache).run(jobs)
+        assert cache.stats.misses == 1
+        assert cache.stats.hits_coalesced >= 1
+        assert cache.stats.hits == 5
+        assert len(calls) == 1  # one canonical form for six submissions
+        assert len({json.dumps(o.record, sort_keys=True) for o in outcomes}) == 1
+
+    def test_key_s_per_job_and_in_report(self):
+        jobs = _jobs([{"demo": ["grid", 3, 3]} for _ in range(3)])
+        driver = ServiceDriver(workers=0, cache=ResultCache())
+        outcomes = driver.run(jobs)
+        assert all(0 < o.key_s < o.wall_s for o in outcomes)
+        assert outcomes[0].to_json_obj()["key_s"] == round(outcomes[0].key_s, 6)
+        report = driver.aggregate(outcomes, 1.0)
+        assert 0 < report["key_s"]["p50"] <= report["key_s"]["p99"]
+        off = ServiceDriver(workers=0, cache=None).run(jobs[:1])[0]
+        assert off.key_s == 0.0
+
+
 class TestChurnExecution:
     def test_churn_ok(self):
         record = execute_job(

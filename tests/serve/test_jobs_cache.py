@@ -5,6 +5,7 @@ import json
 import pytest
 
 from repro.planar.generators import grid_graph, random_maximal_planar
+from repro.planar.graph import Graph
 from repro.serve import (
     ResultCache,
     canonical_form,
@@ -154,6 +155,106 @@ class TestResultCache:
     def test_capacity_validation(self):
         with pytest.raises(ValueError):
             ResultCache(capacity=0)
+
+
+def _exact_lookup(cache, graph, kind="embed", config=None):
+    """The driver's first probe: exact tier only, no canonical form."""
+    scope = (kind, config_key(config or {"bandwidth": 1}))
+    return cache.lookup((None, *scope), exact_fingerprint(graph), None, graph)
+
+
+def _index_is_coherent(cache):
+    """The exact index holds exactly the entries the LRU holds."""
+    live = {
+        (entry.exact, key[1], key[2]): (key, id(entry))
+        for key, bucket in cache._store.items()
+        for entry in bucket
+    }
+    return live == {k: (key, id(entry)) for k, (key, entry) in cache._exact.items()}
+
+
+def _reordered(graph, shift):
+    """The same edge set inserted in a rotated order: one canonical key,
+    a different exact fingerprint."""
+    edges = graph.edges()
+    return Graph(edges=edges[shift:] + edges[:shift])
+
+
+class TestExactIndex:
+    def test_exact_hit_without_canonical_form(self):
+        cache = ResultCache()
+        g = grid_graph(3, 3)
+        key, exact, _form = _entry(g)
+        cache.store(key, exact, {"outcome": "ok", "n": 9})
+        hit = _exact_lookup(cache, g)
+        assert hit is not None and hit.tier == "exact" and hit.verdict["n"] == 9
+        assert _exact_lookup(cache, g, config={"bandwidth": 2}) is None
+        assert _exact_lookup(cache, g, kind="certify") is None
+        assert _exact_lookup(cache, grid_graph(3, 4)) is None
+
+    def test_index_follows_lru_eviction(self):
+        cache = ResultCache(capacity=2)
+        graphs = [grid_graph(2, k) for k in (2, 3, 4)]
+        for g in graphs:
+            key, exact, _form = _entry(g)
+            cache.store(key, exact, {"outcome": "ok"})
+        assert cache.stats.evictions == 1
+        assert _exact_lookup(cache, graphs[0]) is None
+        assert _exact_lookup(cache, graphs[2]) is not None
+        assert _index_is_coherent(cache)
+
+    def test_exact_hit_refreshes_lru_position(self):
+        cache = ResultCache(capacity=2)
+        graphs = [grid_graph(2, k) for k in (2, 3, 4)]
+        for g in graphs[:2]:
+            key, exact, _form = _entry(g)
+            cache.store(key, exact, {"outcome": "ok"})
+        assert _exact_lookup(cache, graphs[0]) is not None  # touch
+        key, exact, _form = _entry(graphs[2])
+        cache.store(key, exact, {"outcome": "ok"})
+        assert _exact_lookup(cache, graphs[0]) is not None
+        assert _exact_lookup(cache, graphs[1]) is None
+        assert _index_is_coherent(cache)
+
+    def test_index_follows_per_key_cap(self):
+        cache = ResultCache()
+        base = grid_graph(3, 4)
+        variants = [_reordered(base, shift) for shift in range(10)]
+        keys = {_entry(g)[0] for g in variants}
+        assert len(keys) == 1  # one canonical key, ten fingerprints
+        for i, g in enumerate(variants):
+            key, exact, _form = _entry(g)
+            cache.store(key, exact, {"outcome": "ok", "i": i})
+        assert len(cache._exact) == 8
+        assert _exact_lookup(cache, variants[0]) is None
+        assert _exact_lookup(cache, variants[1]) is None
+        assert _exact_lookup(cache, variants[9]).verdict["i"] == 9
+        assert _index_is_coherent(cache)
+
+    def test_index_rebuilt_on_warm_restart(self, tmp_path):
+        path = str(tmp_path / "cache.jsonl")
+        first = ResultCache(capacity=2, path=path)
+        graphs = [grid_graph(2, k) for k in (2, 3, 4)]
+        for g in graphs:
+            key, exact, _form = _entry(g)
+            first.store(key, exact, {"outcome": "ok", "cols": g.num_nodes // 2})
+        warm = ResultCache(capacity=2, path=path)
+        assert warm.stats.persisted_loads == 3
+        assert _exact_lookup(warm, graphs[0]) is None  # evicted again on replay
+        assert _exact_lookup(warm, graphs[2]).verdict["cols"] == 4
+        assert _index_is_coherent(warm)
+
+    def test_newer_canonical_key_replaces_older_one(self):
+        """The same submission stored under two canonical keys (a v1
+        record, then a v2 one) keeps one entry: the newer."""
+        cache = ResultCache()
+        g = grid_graph(3, 3)
+        key, exact, _form = _entry(g)
+        cache.store(("old-hash",) + key[1:], exact, {"outcome": "ok", "v": 1})
+        cache.store(key, exact, {"outcome": "ok", "v": 2})
+        assert len(cache) == 1 and len(cache._exact) == 1
+        assert _exact_lookup(cache, g).verdict["v"] == 2
+        assert _index_is_coherent(cache)
 
 
 class TestChurnJobs:

@@ -26,6 +26,7 @@ from repro.planar import verify_planar_embedding
 from repro.planar.generators import random_maximal_planar
 from repro.planar.graph import Graph
 from repro.serve import ResultCache, ServiceDriver, load_jobs
+from tests.serve.wl_v1 import wl_v1
 
 
 def _jobs(objs):
@@ -95,6 +96,41 @@ class TestWarmEqualsCold:
         verify_planar_embedding(relabeled, rotation)
         # The ledger fields describe the original isomorphic run.
         assert warm.record["report"] == cold.record["report"]
+
+
+    def test_v1_keyed_store_serves_exact_hits_only(self, tmp_path):
+        """A store written under wl-graph-v1 canonical keys keeps its
+        exact tier after the move to wl-graph-v2, and never aliases on
+        the canonical tier: a relabeled isomorph recomputes."""
+        base = random_maximal_planar(24, seed=7)
+        spec = [{"edges": [list(e) for e in base.edges()]}]
+        relabeled = _jobs([{"edges": [[f"x{u}", f"x{v}"] for u, v in base.edges()]}])
+
+        cold_cache = ResultCache()
+        cold = ServiceDriver(workers=0, cache=cold_cache).run(_jobs(spec))[0]
+        (v2_key, [entry]), = cold_cache._store.items()
+        # Control: under its own (v2) key the isomorph is a canonical hit.
+        control = ServiceDriver(workers=0, cache=cold_cache).run(relabeled)[0]
+        assert control.cache == "canonical"
+
+        v1_form, _colors = wl_v1(base)
+        assert v1_form.labels is not None
+        v1_rotation = ServiceDriver._canonical_rotation(base, v1_form, cold.record)
+        path = str(tmp_path / "store.jsonl")
+        ResultCache(path=path).store(
+            (v1_form.hash, *v2_key[1:]), entry.exact, cold.record, v1_rotation
+        )
+
+        warm_cache = ResultCache(path=path)
+        assert warm_cache.stats.persisted_loads == 1
+        driver = ServiceDriver(workers=0, cache=warm_cache)
+        warm = driver.run(_jobs(spec))[0]
+        assert warm.cache == "exact"
+        assert _bytes(warm.record) == _bytes(cold.record)
+        isomorph = driver.run(relabeled)[0]
+        assert isomorph.cache == "miss"
+        assert warm_cache.stats.hits_canonical == 0
+        assert warm_cache.stats.misses == 1
 
 
 class TestPoolMatchesSequential:

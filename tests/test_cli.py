@@ -61,6 +61,54 @@ def test_edgelist_bad_line(tmp_path):
         load_edgelist(str(f))
 
 
+@pytest.mark.parametrize("body, message", [
+    ("# nothing but a comment\n", "no vertices"),
+    ("0 1\n1 1\n", "self-loop"),
+    ("0 1\n2 3\n", "not connected"),
+    ("0 1\n1 2 3\n", "expected two node IDs"),
+])
+def test_bad_edge_lists_are_usage_errors(tmp_path, capsys, body, message):
+    """Exit 1 means "not planar"; a broken input is a usage error (2),
+    reported on one line without a traceback."""
+    f = tmp_path / "bad.txt"
+    f.write_text(body)
+    with pytest.raises(SystemExit) as info:
+        main([str(f), "--quiet"])
+    assert info.value.code == 2
+    err = capsys.readouterr().err
+    assert message in err
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_missing_edge_list_is_usage_error(tmp_path, capsys):
+    with pytest.raises(SystemExit) as info:
+        main([str(tmp_path / "absent.txt"), "--quiet"])
+    assert info.value.code == 2
+    assert "cannot read edge list" in capsys.readouterr().err
+
+
+def test_unknown_demo_family_exits_two(capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["--demo", "nosuch", "3"])
+    assert info.value.code == 2
+    err = capsys.readouterr().err
+    assert "unknown demo family 'nosuch'" in err and err.count("\n") == 1
+
+
+def test_empty_demo_network_exits_two(capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["--demo", "path", "0"])
+    assert info.value.code == 2
+    assert "--demo path 0: the network has no vertices" in capsys.readouterr().err
+
+
+def test_duplicate_edges_are_deduplicated(tmp_path, capsys):
+    f = tmp_path / "dup.txt"
+    f.write_text("0 1\n1 2\n2 0\n1 0\n0 1\n")
+    assert load_edgelist(str(f)).num_edges == 3
+    assert main([str(f), "--quiet"]) == 0
+
+
 def test_requires_exactly_one_input(capsys):
     with pytest.raises(SystemExit):
         main([])
