@@ -145,9 +145,9 @@ class RecursionContext:
         if self.oracle is not None:
             ok = self.oracle.check_rerouted(copy)
         else:
-            from ..planar.lr_planarity import lr_planarity
+            from ..planar.lr_planarity import lr_is_planar
 
-            ok = lr_planarity(g) is not None
+            ok = lr_is_planar(g)
         if ok:
             self.mutation_epoch += 1
             if self.split_log is not None:

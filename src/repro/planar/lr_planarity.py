@@ -22,15 +22,22 @@ The algorithm runs in three DFS passes over an orientation of the graph:
 All passes are iterative (no Python recursion) so graphs far beyond the
 interpreter's recursion limit embed fine.  The test-suite cross-validates
 this module against ``networkx.check_planarity`` on thousands of random
-graphs; inside the library it is the *only* planarity kernel.
+graphs, and against the first (dict-based) implementation of the same
+algorithm, which is kept in ``tests/planar/lr_v1.py``; inside the library
+it is the *only* planarity kernel.
 
 Internally the input is relabeled to integers ``0..n-1`` in node
-insertion order and a directed edge ``(v, w)`` is encoded as the integer
-``v * n + w``, so every per-edge map is keyed by small ints instead of
-tuples of (often nested-tuple) node identifiers.  The relabeling is
-order-preserving — adjacency lists keep their insertion order, and the
-nesting-depth sorts are stable — so the emitted rotation system is
-exactly the one the algorithm would produce on the original labels.
+insertion order and stored as a CSR adjacency: vertex ``v``'s neighbours
+occupy the slots ``off[v] .. off[v + 1] - 1`` of one flat ``dst`` list,
+in insertion order.  A directed edge ``(v, w)`` is identified by its
+slot ``off[v] + i`` (``w`` being ``v``'s ``i``-th neighbour), so every
+per-edge quantity (``lowpt``, ``nesting_depth``, ``ref``, ``side``, ...)
+is a preallocated flat list indexed by edge id, and ``src``/``dst`` give
+an edge's endpoints.  Each undirected edge is oriented once, and keeps
+the slot at its tail.  The relabeling is order-preserving — adjacency
+lists keep their insertion order, and the nesting-depth sorts are
+stable — so the emitted rotation system is exactly the one the algorithm
+would produce on the original labels.
 
 Callers that only need the verdict (e.g. the scoped split-validation
 oracle) can use :func:`lr_is_planar`, which runs the orientation and
@@ -88,16 +95,27 @@ def clear_caches() -> None:
     _EMBED_MEMO.clear()
 
 
+def _structure(graph: Graph) -> tuple[list[NodeId], tuple[tuple[int, ...], ...]]:
+    """``graph``'s nodes in insertion order and its relabeled adjacency.
+
+    The adjacency (vertex ``i`` is ``nodes[i]``, neighbours in insertion
+    order) is both the memo key and the solver's only input.
+    """
+    nodes = graph.nodes()
+    index = {u: i for i, u in enumerate(nodes)}.__getitem__
+    adj = graph._adj
+    return nodes, tuple([tuple(map(index, adj[u])) for u in nodes])
+
+
 def _memo_decide(graph: Graph) -> bool:
-    solver = _LRPlanarity(graph)
-    key = tuple(map(tuple, solver.adj))
+    key = _structure(graph)[1]
     verdict = _DECIDE_MEMO.get(key)
     if verdict is None:
         embedded = _EMBED_MEMO.get(key, _MEMO_MISS)
         if embedded is not _MEMO_MISS:
             verdict = embedded is not None
         else:
-            verdict = solver.decide()
+            verdict = _LRPlanarity(key).decide()
         if len(_DECIDE_MEMO) >= _MEMO_MAX_ENTRIES:
             _DECIDE_MEMO.clear()
         _DECIDE_MEMO[key] = verdict
@@ -134,514 +152,437 @@ def planar_embedding(graph: Graph) -> RotationSystem:
 
 def lr_planarity(graph: Graph) -> RotationSystem | None:
     """Left-right planarity test; a rotation system, or ``None`` if non-planar."""
-    solver = _LRPlanarity(graph)
-    key = tuple(map(tuple, solver.adj))
+    nodes, key = _structure(graph)
     rings = _EMBED_MEMO.get(key, _MEMO_MISS)
     if rings is _MEMO_MISS:
-        rings = solver.int_rotations()
+        rings = _LRPlanarity(key).int_rotations()
         if len(_EMBED_MEMO) >= _MEMO_MAX_ENTRIES:
             _EMBED_MEMO.clear()
         _EMBED_MEMO[key] = rings
     if rings is None:
         return None
-    nodes = solver.nodes
     order = {
-        nodes[v]: tuple(nodes[w] for w in ring) for v, ring in enumerate(rings)
+        nodes[v]: tuple([nodes[w] for w in ring]) for v, ring in enumerate(rings)
     }
     return RotationSystem.trusted(graph, order)
-
-
-class _Interval:
-    """An interval of return edges, empty when both ends are ``None``."""
-
-    __slots__ = ("low", "high")
-
-    def __init__(self, low=None, high=None) -> None:
-        self.low = low
-        self.high = high
-
-    def empty(self) -> bool:
-        return self.low is None and self.high is None
-
-    def copy(self) -> "_Interval":
-        return _Interval(self.low, self.high)
-
-
-class _ConflictPair:
-    """A left/right pair of return-edge intervals on the constraint stack."""
-
-    __slots__ = ("left", "right")
-
-    def __init__(self, left: _Interval | None = None, right: _Interval | None = None) -> None:
-        self.left = left if left is not None else _Interval()
-        self.right = right if right is not None else _Interval()
-
-    def swap(self) -> None:
-        self.left, self.right = self.right, self.left
-
-    def lowest(self, state: "_LRPlanarity") -> int:
-        if self.left.empty():
-            return state.lowpt[self.right.low]
-        if self.right.empty():
-            return state.lowpt[self.left.low]
-        return min(state.lowpt[self.left.low], state.lowpt[self.right.low])
-
-
-def _top(stack: list) -> _ConflictPair | None:
-    return stack[-1] if stack else None
-
-
-class _EmbeddingBuilder:
-    """Half-edge rings under construction: per-vertex circular cw lists.
-
-    Vertices are the relabeled integers ``0..n-1``.
-    """
-
-    __slots__ = ("next_cw", "next_ccw", "first")
-
-    def __init__(self, n: int) -> None:
-        self.next_cw: list[dict[int, int]] = [{} for _ in range(n)]
-        self.next_ccw: list[dict[int, int]] = [{} for _ in range(n)]
-        self.first: list[int | None] = [None] * n
-
-    def _add_lonely(self, v: NodeId, w: NodeId) -> None:
-        self.next_cw[v][w] = w
-        self.next_ccw[v][w] = w
-        self.first[v] = w
-
-    def add_half_edge_cw(self, v: NodeId, w: NodeId, ref: NodeId | None) -> None:
-        """Insert half-edge ``v -> w`` clockwise-after ``ref`` at ``v``."""
-        if ref is None:
-            self._add_lonely(v, w)
-            return
-        after = self.next_cw[v][ref]
-        self.next_cw[v][ref] = w
-        self.next_cw[v][w] = after
-        self.next_ccw[v][after] = w
-        self.next_ccw[v][w] = ref
-
-    def add_half_edge_ccw(self, v: NodeId, w: NodeId, ref: NodeId | None) -> None:
-        """Insert half-edge ``v -> w`` counter-clockwise-after ``ref`` at ``v``."""
-        if ref is None:
-            self._add_lonely(v, w)
-            return
-        self.add_half_edge_cw(v, w, self.next_ccw[v][ref])
-        if ref == self.first[v]:
-            self.first[v] = w
-
-    def add_half_edge_first(self, v: NodeId, w: NodeId) -> None:
-        """Insert ``v -> w`` so that ``w`` becomes the first neighbor of ``v``."""
-        self.add_half_edge_ccw(v, w, self.first[v])
-        self.first[v] = w
-
-    def rotation_of(self, v: NodeId) -> tuple[NodeId, ...]:
-        start = self.first[v]
-        if start is None:
-            return ()
-        ring = [start]
-        cur = self.next_cw[v][start]
-        while cur != start:
-            ring.append(cur)
-            cur = self.next_cw[v][cur]
-        return tuple(ring)
 
 
 class _LRPlanarity:
     """State machine for one left-right planarity run.
 
-    Works on the integer relabeling described in the module docstring:
-    vertex ``i`` is ``graph.nodes()[i]`` and the directed edge
-    ``(v, w)`` is the int ``v * n + w``.  Node-indexed state lives in
-    flat lists; edge-indexed state in int-keyed dicts.
+    Works on the CSR relabeling described in the module docstring:
+    ``adj[v]`` lists ``v``'s neighbours, and the directed edge ``(v, w)``
+    is the slot of ``w`` in ``v``'s row.  Node- and edge-indexed state
+    lives in flat lists; ``None`` marks an absent edge (no parent edge,
+    no reference, an empty interval end).
+
+    A conflict pair is a 4-slot list ``[L.low, L.high, R.low, R.high]``
+    of return edges.  Pairs on the stack are compared by identity
+    (``stack_bottom``), so a pair that is trimmed in place keeps it.
     """
 
-    def __init__(self, graph: Graph) -> None:
-        self.graph = graph
-        nodes = graph.nodes()
-        n = len(nodes)
-        self.nodes = nodes
+    def __init__(self, adj: tuple[tuple[int, ...], ...]) -> None:
+        n = len(adj)
         self.n = n
-        index = {u: i for i, u in enumerate(nodes)}
-        self.adj: list[list[int]] = [
-            [index[w] for w in graph._adj[u]] for u in nodes
-        ]
+        off = [0] * (n + 1)
+        dst: list[int] = []
+        src: list[int] = []
+        for v, row in enumerate(adj):
+            dst += row
+            src += [v] * len(row)
+            off[v + 1] = len(dst)
+        self.off = off
+        self.dst = dst
+        self.src = src
+        slots = len(dst)
         self.roots: list[int] = []
-        self.height: list[int | None] = [None] * n
+        self.height: list[int] = [-1] * n
         self.parent_edge: list[int | None] = [None] * n
-        # Per *directed* edge (int codes v * n + w):
-        self.lowpt: dict[int, int] = {}
-        self.lowpt2: dict[int, int] = {}
-        self.nesting_depth: dict[int, int] = {}
-        self.oriented: set[int] = set()
         self.out_adj: list[list[int]] = [[] for _ in range(n)]
-        self.ordered_adjs: list[list[int]] = [[] for _ in range(n)]
-        self.ref: dict[int, int | None] = {}
-        self.side: dict[int, int] = {}
-        self.S: list[_ConflictPair] = []
-        self.stack_bottom: dict[int, _ConflictPair | None] = {}
-        self.lowpt_edge: dict[int, int] = {}
+        self.ordered_adjs: list[list[int]] = []
+        # Per *directed* edge (CSR slot of the edge at its tail):
+        self.lowpt: list[int] = [0] * slots
+        self.lowpt2: list[int] = [0] * slots
+        self.nesting_depth: list[int] = [0] * slots
+        self.ref: list[int | None] = [None] * slots
+        self.side: list[int] = [1] * slots
+        self.stack_bottom: list[list | None] = [None] * slots
+        self.lowpt_edge: list[int | None] = [None] * slots
+        self.S: list[list] = []
 
-    def _ordered_out_adj(self, v: int) -> list[int]:
-        """``out_adj[v]`` stably sorted by nesting depth (cheap int keys)."""
-        base = v * self.n
-        nesting_depth = self.nesting_depth
-        decorated = sorted(
-            (nesting_depth[base + w], i, w) for i, w in enumerate(self.out_adj[v])
-        )
-        return [w for _, _, w in decorated]
+    def _ordered_out_adj(self) -> list[list[int]]:
+        """Each ``out_adj[v]`` stably sorted by nesting depth."""
+        depth = self.nesting_depth.__getitem__
+        return [sorted(out, key=depth) for out in self.out_adj]
 
     def decide(self) -> bool:
         """Passes 1 + 2 only: True iff the graph is planar."""
-        graph = self.graph
         n = self.n
-        if n > 2 and graph.num_edges > 3 * n - 6:
+        if n > 2 and len(self.dst) // 2 > 3 * n - 6:
             return False  # violates the planar edge bound
 
-        # Pass 1: orientation.
-        for v in range(n):
-            if self.height[v] is None:
-                self.height[v] = 0
-                self.roots.append(v)
-                self._dfs_orientation(v)
-
-        # Pass 2: testing.
-        for v in range(n):
-            self.ordered_adjs[v] = self._ordered_out_adj(v)
-        for root in self.roots:
-            if not self._dfs_testing(root):
-                return False
-        return True
-
-    def run(self) -> RotationSystem | None:
-        rings = self.int_rotations()
-        if rings is None:
-            return None
-        nodes = self.nodes
-        order = {
-            nodes[v]: tuple(nodes[w] for w in ring)
-            for v, ring in enumerate(rings)
-        }
-        return RotationSystem.trusted(self.graph, order)
+        self._dfs_orientation()  # pass 1
+        self.ordered_adjs = self._ordered_out_adj()
+        return self._dfs_testing()  # pass 2
 
     def int_rotations(self) -> tuple[tuple[int, ...], ...] | None:
         """Per-vertex clockwise rings over the int relabeling (or None).
 
         This is the whole algorithm minus the final int->node mapping; a
-        pure function of ``self.adj``, which is what makes the module's
-        structural memo sound.
+        pure function of the relabeled adjacency, which is what makes
+        the module's structural memo sound.
         """
         if not self.decide():
             return None
 
         # Pass 3: embedding.
-        n = self.n
         nesting_depth = self.nesting_depth
+        ref = self.ref
+        side = self.side
         sign = self._sign
-        for v in range(n):
-            base = v * n
-            for w in self.out_adj[v]:
-                e = base + w
-                nesting_depth[e] = sign(e) * nesting_depth[e]
-        embedding = self.embedding = _EmbeddingBuilder(n)
-        add_half_edge_cw = embedding.add_half_edge_cw
-        for v in range(n):
-            ordered = self._ordered_out_adj(v)
-            self.ordered_adjs[v] = ordered
-            previous = None
-            for w in ordered:
-                add_half_edge_cw(v, w, previous)
-                previous = w
-        self.left_ref: list[int | None] = [None] * n
-        self.right_ref: list[int | None] = [None] * n
-        for root in self.roots:
-            self._dfs_embedding(root)
-
-        return tuple(embedding.rotation_of(v) for v in range(n))
+        for out in self.out_adj:
+            for e in out:
+                nesting_depth[e] *= side[e] if ref[e] is None else sign(e)
+        self.ordered_adjs = self._ordered_out_adj()
+        return self._embed()
 
     # -- pass 1 -----------------------------------------------------------
 
-    def _dfs_orientation(self, start: int) -> None:
-        n = self.n
+    def _dfs_orientation(self) -> None:
+        """Orient every edge along a DFS forest, one tree per component."""
+        off = self.off
+        dst = self.dst
+        src = self.src
         height = self.height
         parent_edge = self.parent_edge
         lowpt = self.lowpt
         lowpt2 = self.lowpt2
         nesting_depth = self.nesting_depth
-        oriented = self.oriented
         out_adj = self.out_adj
-        ref = self.ref
-        side = self.side
-        adj = self.adj
-        dfs_stack = [start]
-        ind: dict[int, int] = {}
-        skip_init: set[int] = set()
+        # next slot to scan per vertex; a resumed vertex rescans its tree
+        # edge, recognised by ``parent_edge[w] == vw``
+        ind = off[:-1]
 
-        while dfs_stack:
-            v = dfs_stack.pop()
-            e = parent_edge[v]
-            adjacency = adj[v]
-            base = v * n
-            hv = height[v]
-            descend = False
-            i = ind.get(v, 0)
-            while i < len(adjacency):
-                w = adjacency[i]
-                vw = base + w
-                if vw not in skip_init:
-                    if vw in oriented or w * n + v in oriented:
-                        i += 1
-                        continue
-                    oriented.add(vw)
-                    out_adj[v].append(w)
-                    ref[vw] = None
-                    side[vw] = 1
-                    lowpt[vw] = hv
-                    lowpt2[vw] = hv
-                    if height[w] is None:  # tree edge
+        for root in range(self.n):
+            if height[root] >= 0:
+                continue
+            height[root] = 0
+            self.roots.append(root)
+            dfs_stack = [root]
+            while dfs_stack:
+                v = dfs_stack.pop()
+                e = parent_edge[v]
+                parent = -1 if e is None else src[e]
+                out = out_adj[v]
+                hv = height[v]
+                vw = ind[v]
+                end = off[v + 1]
+                while vw < end:
+                    w = dst[vw]
+                    hw = height[w]
+                    if hw < 0:  # tree edge: orient it, descend, resume here
+                        out.append(vw)
+                        lowpt[vw] = hv
+                        lowpt2[vw] = hv
                         parent_edge[w] = vw
                         height[w] = hv + 1
-                        ind[v] = i
-                        dfs_stack.append(v)  # resume v afterwards
+                        ind[v] = vw
+                        dfs_stack.append(v)
                         dfs_stack.append(w)
-                        skip_init.add(vw)
-                        descend = True
                         break
-                    lowpt[vw] = height[w]  # back edge
+                    if parent_edge[w] != vw:  # not the tree edge just finished
+                        if hw >= hv or w == parent:
+                            vw += 1  # oriented from the other end already
+                            continue
+                        out.append(vw)  # back edge
+                        lowpt[vw] = hw
+                        lowpt2[vw] = hv
+                    low = lowpt[vw]
+                    low2 = lowpt2[vw]
 
-                # nesting depth: twice the lowpoint, +1 if chordal
-                nesting_depth[vw] = 2 * lowpt[vw] + (1 if lowpt2[vw] < hv else 0)
+                    # nesting depth: twice the lowpoint, +1 if chordal
+                    nesting_depth[vw] = 2 * low + (1 if low2 < hv else 0)
 
-                if e is not None:  # fold lowpoints into the parent edge
-                    lw = lowpt[vw]
-                    le = lowpt[e]
-                    if lw < le:
-                        lowpt2[e] = min(le, lowpt2[vw])
-                        lowpt[e] = lw
-                    elif lw > le:
-                        lowpt2[e] = min(lowpt2[e], lw)
-                    else:
-                        lowpt2[e] = min(lowpt2[e], lowpt2[vw])
-                i += 1
-            if not descend:
-                ind[v] = i
+                    if e is not None:  # fold lowpoints into the parent edge
+                        le = lowpt[e]
+                        if low < le:
+                            lowpt2[e] = le if le < low2 else low2
+                            lowpt[e] = low
+                        elif low > le:
+                            if low < lowpt2[e]:
+                                lowpt2[e] = low
+                        elif low2 < lowpt2[e]:
+                            lowpt2[e] = low2
+                    vw += 1
 
     # -- pass 2 -----------------------------------------------------------
 
-    def _dfs_testing(self, start: int) -> bool:
-        n = self.n
-        height = self.height
+    def _dfs_testing(self) -> bool:
+        """Run the conflict-pair test over every DFS tree; False on a conflict."""
+        dst = self.dst
         parent_edge = self.parent_edge
+        height = self.height
         lowpt = self.lowpt
         lowpt_edge = self.lowpt_edge
         stack_bottom = self.stack_bottom
+        ordered_adjs = self.ordered_adjs
+        add_constraints = self._add_constraints
+        remove_back_edges = self._remove_back_edges
         S = self.S
-        dfs_stack = [start]
-        ind: dict[int, int] = {}
-        skip_init: set[int] = set()
+        # per vertex: how many ordered out-edges have been started; a
+        # resumed vertex first integrates the tree edge it descended
+        ind = [0] * self.n
 
-        while dfs_stack:
-            v = dfs_stack.pop()
-            e = parent_edge[v]
-            adjacency = self.ordered_adjs[v]
-            base = v * n
-            hv = height[v]
-            descend = False
-            i = ind.get(v, 0)
-            while i < len(adjacency):
-                w = adjacency[i]
-                ei = base + w
-                if ei not in skip_init:
+        for root in self.roots:
+            dfs_stack = [root]
+            while dfs_stack:
+                v = dfs_stack.pop()
+                e = parent_edge[v]
+                adjacency = ordered_adjs[v]
+                degree = len(adjacency)
+                hv = height[v]
+                i = ind[v]
+                if i:  # back from the tree edge adjacency[i - 1]
+                    ei = adjacency[i - 1]
+                    if lowpt[ei] < hv:
+                        if i == 1:
+                            lowpt_edge[e] = lowpt_edge[ei]
+                        elif not add_constraints(ei, e):
+                            return False
+                while i < degree:
+                    ei = adjacency[i]
+                    i += 1
                     stack_bottom[ei] = S[-1] if S else None
+                    w = dst[ei]
                     if ei == parent_edge[w]:  # tree edge: recurse first
                         ind[v] = i
                         dfs_stack.append(v)
                         dfs_stack.append(w)
-                        skip_init.add(ei)
-                        descend = True
                         break
                     # back edge: its own one-element right interval
                     lowpt_edge[ei] = ei
-                    S.append(_ConflictPair(right=_Interval(ei, ei)))
+                    S.append([None, None, ei, ei])
 
-                # integrate the return edges contributed by ei
-                if lowpt[ei] < hv:
-                    if w == adjacency[0]:
-                        lowpt_edge[e] = lowpt_edge[ei]
-                    elif not self._add_constraints(ei, e):
-                        return False  # forced same-side conflict: non-planar
-                i += 1
-            if descend:
-                continue
-            ind[v] = i
-            if e is not None:
-                self._remove_back_edges(e)
+                    # integrate the return edges contributed by ei
+                    if lowpt[ei] < hv:
+                        if i == 1:
+                            lowpt_edge[e] = lowpt_edge[ei]
+                        elif not add_constraints(ei, e):
+                            return False  # forced same-side conflict: non-planar
+                else:
+                    if e is not None:
+                        remove_back_edges(e)
         return True
 
-    def _conflicting(self, interval: _Interval, b: int) -> bool:
-        return not interval.empty() and self.lowpt[interval.high] > self.lowpt[b]
-
     def _add_constraints(self, ei: int, e: int) -> bool:
-        # Interval emptiness / conflict checks are inlined attribute tests
-        # here (this is the innermost loop of the testing pass).
         lowpt = self.lowpt
         ref = self.ref
         S = self.S
-        P = _ConflictPair()
-        PL = P.left
-        PR = P.right
+        pl_lo = pl_hi = pr_lo = pr_hi = None
         lp_e = lowpt[e]
         lp_ei = lowpt[ei]
         bottom = self.stack_bottom[ei]
         # merge return edges of ei into P.right
         while True:
-            Q = S.pop()
-            QL = Q.left
-            if QL.low is not None or QL.high is not None:
-                Q.swap()
-                QL = Q.left
-                if QL.low is not None or QL.high is not None:
+            ql_lo, ql_hi, qr_lo, qr_hi = S.pop()
+            if ql_lo is not None or ql_hi is not None:  # read Q swapped
+                if qr_lo is not None or qr_hi is not None:
                     return False
-            QR = Q.right
-            if lowpt[QR.low] > lp_e:
-                if PR.low is None and PR.high is None:
-                    PR.high = QR.high
+                qr_lo, qr_hi = ql_lo, ql_hi
+            if lowpt[qr_lo] > lp_e:
+                if pr_lo is None and pr_hi is None:
+                    pr_hi = qr_hi
                 else:
-                    ref[PR.low] = QR.high
-                PR.low = QR.low
+                    ref[pr_lo] = qr_hi
+                pr_lo = qr_lo
             else:  # align with the parent's lowpoint edge
-                ref[QR.low] = self.lowpt_edge[e]
+                ref[qr_lo] = self.lowpt_edge[e]
             if (S[-1] if S else None) is bottom:
                 break
         # merge conflicting return edges of earlier siblings into P.left
         while True:
             top = S[-1]
-            TL = top.left
-            TR = top.right
+            hl = top[1]
+            hr = top[3]
             if not (
-                (TL.high is not None and lowpt[TL.high] > lp_ei)
-                or (TR.high is not None and lowpt[TR.high] > lp_ei)
+                (hl is not None and lowpt[hl] > lp_ei)
+                or (hr is not None and lowpt[hr] > lp_ei)
             ):
                 break
-            Q = S.pop()
-            QR = Q.right
-            if QR.high is not None and lowpt[QR.high] > lp_ei:
-                Q.swap()
-                QR = Q.right
-                if QR.high is not None and lowpt[QR.high] > lp_ei:
+            ql_lo, ql_hi, qr_lo, qr_hi = S.pop()
+            if qr_hi is not None and lowpt[qr_hi] > lp_ei:  # read Q swapped
+                ql_lo, ql_hi, qr_lo, qr_hi = qr_lo, qr_hi, ql_lo, ql_hi
+                if qr_hi is not None and lowpt[qr_hi] > lp_ei:
                     return False
-            QL = Q.left
-            ref[PR.low] = QR.high
-            if QR.low is not None:
-                PR.low = QR.low
-            if PL.low is None and PL.high is None:
-                PL.high = QL.high
+            if pr_lo is not None:  # an empty P.right has no ref to set
+                ref[pr_lo] = qr_hi
+            if qr_lo is not None:
+                pr_lo = qr_lo
+            if pl_lo is None and pl_hi is None:
+                pl_hi = ql_hi
             else:
-                ref[PL.low] = QL.high
-            PL.low = QL.low
-        if not (PL.low is None and PL.high is None and PR.low is None and PR.high is None):
-            S.append(P)
+                ref[pl_lo] = ql_hi
+            pl_lo = ql_lo
+        if not (pl_lo is None and pl_hi is None and pr_lo is None and pr_hi is None):
+            S.append([pl_lo, pl_hi, pr_lo, pr_hi])
         return True
 
     def _remove_back_edges(self, e: int) -> None:
-        n = self.n
-        u = e // n
+        dst = self.dst
+        u = self.src[e]
         hu = self.height[u]
         lowpt = self.lowpt
+        ref = self.ref
+        side = self.side
         S = self.S
         # drop entire conflict pairs whose lowest return point is u
         while S:
-            top = S[-1]
-            L = top.left
-            if L.low is None and L.high is None:
-                lowest = lowpt[top.right.low]
+            l_lo, l_hi, r_lo, r_hi = S[-1]
+            if l_lo is None and l_hi is None:
+                lowest = lowpt[r_lo]
+            elif r_lo is None and r_hi is None:
+                lowest = lowpt[l_lo]
             else:
-                R = top.right
-                if R.low is None and R.high is None:
-                    lowest = lowpt[L.low]
-                else:
-                    lowest = min(lowpt[L.low], lowpt[R.low])
+                lowest = min(lowpt[l_lo], lowpt[r_lo])
             if lowest != hu:
                 break
-            P = S.pop()
-            if P.left.low is not None:
-                self.side[P.left.low] = -1
-        if self.S:  # one more pair may need trimming
-            P = self.S.pop()
-            while P.left.high is not None and P.left.high % n == u:
-                P.left.high = self.ref[P.left.high]
-            if P.left.high is None and P.left.low is not None:
-                self.ref[P.left.low] = P.right.low
-                self.side[P.left.low] = -1
-                P.left.low = None
-            while P.right.high is not None and P.right.high % n == u:
-                P.right.high = self.ref[P.right.high]
-            if P.right.high is None and P.right.low is not None:
-                self.ref[P.right.low] = P.left.low
-                self.side[P.right.low] = -1
-                P.right.low = None
-            self.S.append(P)
+            S.pop()
+            if l_lo is not None:
+                side[l_lo] = -1
+        if S:  # one more pair may need trimming (in place: same identity)
+            P = S[-1]
+            high = P[1]
+            while high is not None and dst[high] == u:
+                high = ref[high]
+            P[1] = high
+            if high is None and P[0] is not None:
+                ref[P[0]] = P[2]
+                side[P[0]] = -1
+                P[0] = None
+            high = P[3]
+            while high is not None and dst[high] == u:
+                high = ref[high]
+            P[3] = high
+            if high is None and P[2] is not None:
+                ref[P[2]] = P[0]
+                side[P[2]] = -1
+                P[2] = None
         # the side of e follows the side of its highest return edge
-        if self.lowpt[e] < hu:
-            top = _top(self.S)
-            hl = top.left.high
-            hr = top.right.high
-            if hl is not None and (hr is None or self.lowpt[hl] > self.lowpt[hr]):
-                self.ref[e] = hl
+        if lowpt[e] < hu:
+            top = S[-1]
+            hl = top[1]
+            hr = top[3]
+            if hl is not None and (hr is None or lowpt[hl] > lowpt[hr]):
+                ref[e] = hl
             else:
-                self.ref[e] = hr
+                ref[e] = hr
 
     # -- pass 3 -----------------------------------------------------------
 
     def _sign(self, e: int) -> int:
-        """Resolve the absolute side of ``e`` along its ``ref`` chain."""
+        """Resolve the absolute side of ``e`` along its ``ref`` chain.
+
+        Every edge on the chain gets its absolute side and loses its
+        reference, so later calls stop at it.
+        """
         ref = self.ref
         side = self.side
-        dfs_stack = [e]
-        old_ref: dict[int, int] = {}
-        while dfs_stack:
-            cur = dfs_stack.pop()
+        chain = []
+        cur = e
+        nxt = ref[cur]
+        while nxt is not None:
+            chain.append(cur)
+            ref[cur] = None
+            cur = nxt
             nxt = ref[cur]
-            if nxt is not None:
-                dfs_stack.append(cur)
-                dfs_stack.append(nxt)
-                old_ref[cur] = nxt
-                ref[cur] = None
-            elif cur in old_ref:
-                side[cur] *= side[old_ref[cur]]
-        return side[e]
+        s = side[cur]
+        for cur in reversed(chain):
+            s = side[cur] = side[cur] * s
+        return s
 
-    def _dfs_embedding(self, start: int) -> None:
+    def _embed(self) -> tuple[tuple[int, ...], ...]:
+        """Splice every back edge into the tree-edge rings; the cw rings.
+
+        Half-edges are numbered by edge id: ``e`` is edge ``e``'s half
+        at its tail, ``e + slots`` its half at its head, so ``nbr[h]``
+        is the neighbour that half-edge ``h`` points to.  ``cw``/``ccw``
+        link each vertex's ring; ``first`` is its ring's start.
+        """
         n = self.n
+        dst = self.dst
+        ordered_adjs = self.ordered_adjs
+        slots = len(dst)
+        nbr = dst + self.src
+        cw: list[int] = [0] * (2 * slots)
+        ccw: list[int] = [0] * (2 * slots)
+        first: list[int | None] = [None] * n
+        for v, ordered in enumerate(ordered_adjs):
+            if ordered:  # the out-edges, clockwise in nesting order
+                prev = ordered[-1]
+                for h in ordered:
+                    cw[prev] = h
+                    ccw[h] = prev
+                    prev = h
+                first[v] = ordered[0]
+
         parent_edge = self.parent_edge
         side = self.side
-        embedding = self.embedding
-        left_ref = self.left_ref
-        right_ref = self.right_ref
-        dfs_stack = [start]
-        ind: dict[int, int] = {}
+        left_ref: list[int | None] = [None] * n
+        right_ref: list[int | None] = [None] * n
+        ind = [0] * n
+        for root in self.roots:
+            dfs_stack = [root]
+            while dfs_stack:
+                v = dfs_stack.pop()
+                adjacency = ordered_adjs[v]
+                degree = len(adjacency)
+                i = ind[v]
+                while i < degree:
+                    ei = adjacency[i]
+                    i += 1
+                    w = dst[ei]
+                    h = ei + slots  # the half-edge w -> v
+                    if ei == parent_edge[w]:  # tree edge: w -> v goes first
+                        at = first[w]
+                        if at is None:
+                            cw[h] = ccw[h] = h
+                        else:  # insert h counter-clockwise before ``at``
+                            before = ccw[at]
+                            cw[before] = h
+                            ccw[at] = h
+                            cw[h] = at
+                            ccw[h] = before
+                        first[w] = h
+                        left_ref[v] = right_ref[v] = ei
+                        ind[v] = i
+                        dfs_stack.append(v)
+                        dfs_stack.append(w)
+                        break
+                    # back edge: splice next to the reference half-edge at w
+                    if side[ei] == 1:
+                        before = right_ref[w]  # h goes clockwise after it
+                    else:  # h goes counter-clockwise before left_ref[w]
+                        at = left_ref[w]
+                        before = ccw[at]
+                        if at == first[w]:
+                            first[w] = h
+                        left_ref[w] = h
+                    after = cw[before]
+                    cw[before] = h
+                    cw[h] = after
+                    ccw[after] = h
+                    ccw[h] = before
 
-        while dfs_stack:
-            v = dfs_stack.pop()
-            adjacency = self.ordered_adjs[v]
-            base = v * n
-            i = ind.get(v, 0)
-            while i < len(adjacency):
-                w = adjacency[i]
-                i += 1
-                ei = base + w
-                if ei == parent_edge[w]:  # tree edge
-                    embedding.add_half_edge_first(w, v)
-                    left_ref[v] = w
-                    right_ref[v] = w
-                    ind[v] = i
-                    dfs_stack.append(v)
-                    dfs_stack.append(w)
-                    break
-                # back edge: splice next to the reference half-edge at w
-                if side[ei] == 1:
-                    embedding.add_half_edge_cw(w, v, right_ref[w])
-                else:
-                    embedding.add_half_edge_ccw(w, v, left_ref[w])
-                    left_ref[w] = v
-            else:
-                ind[v] = i
+        rings = []
+        for v in range(n):
+            start = first[v]
+            if start is None:
+                rings.append(())
+                continue
+            ring = [nbr[start]]
+            h = cw[start]
+            while h != start:
+                ring.append(nbr[h])
+                h = cw[h]
+            rings.append(tuple(ring))
+        return tuple(rings)

@@ -27,7 +27,9 @@ up in this order:
     defensively re-verified (genus 0 on the query graph) before being
     served; a failed check falls back to a miss rather than ever serving
     a wrong answer.  The ledger fields of a canonical hit describe the
-    original isomorphic run.
+    original isomorphic run.  A verified remap is filed (in memory, not
+    in the persistent store) under the query's own fingerprint, so a
+    repeat of the same relabeled submission is an exact hit.
 
 The exact index holds one entry per fingerprint triple and stays
 coherent with the LRU: evicting a key, dropping the oldest entry past
@@ -197,6 +199,7 @@ class ResultCache:
                     verdict = self._remap(entry, form, graph)
                     if verdict is not None:
                         self.stats.hits_canonical += 1
+                        self._insert(key, exact, verdict, entry.canonical_rotation)
                         return CacheHit(verdict=verdict, tier="canonical")
         return None
 
@@ -243,12 +246,28 @@ class ResultCache:
         canonical_rotation: dict[int, list[int]] | None = None,
         _persist: bool = True,
     ) -> None:
+        entry = self._insert(key, exact, verdict, canonical_rotation)
+        if entry is None:
+            return  # already present (e.g. two racing cold runs)
+        self.stats.stores += 1
+        if _persist and self.path is not None:
+            self._append(key, entry)
+
+    def _insert(
+        self,
+        key: CacheKey,
+        exact: str,
+        verdict: dict,
+        canonical_rotation: dict[int, list[int]] | None,
+    ) -> CacheEntry | None:
+        """File one entry in the LRU and the exact index, enforcing the
+        per-key cap and the capacity; ``None`` if it was already there."""
         exact_key = (exact, key[1], key[2])
         found = self._exact.get(exact_key)
         if found is not None:
             if found[0] == key:
                 self._store.move_to_end(key)
-                return  # already present (e.g. two racing cold runs)
+                return None
             # The same submission under an older canonical key (a
             # replayed wl-graph-v1 record): the newer record wins.
             self._drop(*found)
@@ -263,14 +282,12 @@ class ResultCache:
         if len(entries) > _MAX_ENTRIES_PER_KEY:
             oldest = entries.pop(0)
             del self._exact[(oldest.exact, key[1], key[2])]
-        self.stats.stores += 1
         while len(self._store) > self.capacity:
             evicted, bucket = self._store.popitem(last=False)
             for old in bucket:
                 del self._exact[(old.exact, evicted[1], evicted[2])]
             self.stats.evictions += 1
-        if _persist and self.path is not None:
-            self._append(key, entry)
+        return entry
 
     def _drop(self, key: CacheKey, entry: CacheEntry) -> None:
         """Remove one entry (and its exact-index slot) from the LRU."""

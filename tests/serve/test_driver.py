@@ -193,12 +193,14 @@ class TestKeying:
         outcomes = ServiceDriver(workers=0, cache=cache).run(
             _jobs([base, base, isomorph, base, isomorph])
         )
-        # A canonical hit is remapped, not stored: a repeated isomorph
-        # pays for the canonical form again; an exact repeat never does.
+        # A verified canonical hit is filed under the isomorph's own
+        # fingerprint, so its repeat is exact too: only the first
+        # submission of each labelling pays for the canonical form.
         assert [o.cache for o in outcomes] == [
-            "miss", "exact", "canonical", "exact", "canonical",
+            "miss", "exact", "canonical", "exact", "exact",
         ]
-        assert len(calls) == 3
+        assert outcomes[4].record == outcomes[2].record
+        assert len(calls) == 2
         assert len(calls) == cache.stats.misses + cache.stats.hits_canonical
 
     def test_inflight_duplicates_coalesce_at_two_workers(self, monkeypatch):

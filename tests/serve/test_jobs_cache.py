@@ -4,10 +4,12 @@ import json
 
 import pytest
 
+from repro.planar import lr_planarity
 from repro.planar.generators import grid_graph, random_maximal_planar
 from repro.planar.graph import Graph
 from repro.serve import (
     ResultCache,
+    ServiceDriver,
     canonical_form,
     config_key,
     exact_fingerprint,
@@ -255,6 +257,87 @@ class TestExactIndex:
         assert len(cache) == 1 and len(cache._exact) == 1
         assert _exact_lookup(cache, g).verdict["v"] == 2
         assert _index_is_coherent(cache)
+
+
+def _relabeled(graph, prefix):
+    """An isomorph of ``graph`` under new labels: one canonical key, a
+    different exact fingerprint."""
+    return Graph(edges=[(f"{prefix}{u}", f"{prefix}{v}") for u, v in graph.edges()])
+
+
+def _stored_with_rotation(cache, graph):
+    """Store ``graph``'s real embedding the way the driver does, with its
+    rotation re-keyed by canonical rank so remap hits can serve it."""
+    key, exact, form = _entry(graph)
+    rot = lr_planarity(graph)
+    verdict = {
+        "outcome": "ok",
+        "rotation": {repr(v): [repr(u) for u in rot.order(v)] for v in graph.nodes()},
+    }
+    ranks = ServiceDriver._canonical_rotation(graph, form, verdict)
+    assert ranks is not None  # a discrete refinement
+    cache.store(key, exact, verdict, ranks)
+    return key
+
+
+class TestRemapFiledExact:
+    """A verified canonical remap is filed under the query's fingerprint."""
+
+    def test_remap_then_exact_repeat(self):
+        cache = ResultCache()
+        base = random_maximal_planar(14, seed=2)
+        _stored_with_rotation(cache, base)
+        iso = _relabeled(base, "y")
+        key, exact, form = _entry(iso)
+        first = cache.lookup(key, exact, form, iso)
+        assert first is not None and first.tier == "canonical"
+        again = _exact_lookup(cache, iso)
+        assert again is not None and again.tier == "exact"
+        assert again.verdict == first.verdict and again.verdict["remapped"] is True
+        assert cache.stats.hits_canonical == 1 and cache.stats.hits_exact == 1
+        assert cache.stats.stores == 1  # filing a remap is not fresh work
+        assert len(cache) == 1 and len(cache._exact) == 2
+        assert _index_is_coherent(cache)
+
+    def test_remaps_obey_per_key_cap(self):
+        cache = ResultCache()
+        base = random_maximal_planar(14, seed=2)
+        _stored_with_rotation(cache, base)
+        isos = [_relabeled(base, f"r{i}_") for i in range(9)]
+        for iso in isos:
+            key, exact, form = _entry(iso)
+            assert cache.lookup(key, exact, form, iso).tier == "canonical"
+        assert len(cache._exact) == 8  # the original and the first remap went
+        assert _exact_lookup(cache, base) is None
+        assert _exact_lookup(cache, isos[0]) is None
+        assert _exact_lookup(cache, isos[8]).tier == "exact"
+        assert _index_is_coherent(cache)
+
+    def test_remaps_follow_lru_eviction(self):
+        cache = ResultCache(capacity=1)
+        base = random_maximal_planar(14, seed=2)
+        _stored_with_rotation(cache, base)
+        iso = _relabeled(base, "y")
+        key, exact, form = _entry(iso)
+        assert cache.lookup(key, exact, form, iso).tier == "canonical"
+        other_key, other_exact, _form = _entry(grid_graph(3, 3))
+        cache.store(other_key, other_exact, {"outcome": "ok"})
+        assert cache.stats.evictions == 1
+        assert _exact_lookup(cache, iso) is None
+        assert _index_is_coherent(cache)
+
+    def test_remaps_are_not_persisted(self, tmp_path):
+        path = tmp_path / "cache.jsonl"
+        cache = ResultCache(path=str(path))
+        base = random_maximal_planar(14, seed=2)
+        _stored_with_rotation(cache, base)
+        iso = _relabeled(base, "y")
+        key, exact, form = _entry(iso)
+        assert cache.lookup(key, exact, form, iso).tier == "canonical"
+        assert len(path.read_text().splitlines()) == 1
+        warm = ResultCache(path=str(path))
+        assert _exact_lookup(warm, iso) is None
+        assert warm.lookup(key, exact, form, iso).tier == "canonical"
 
 
 class TestChurnJobs:
